@@ -33,7 +33,8 @@ from repro import (
 )
 from repro.logic.algebra import rel
 from repro.logic.conjunctive import ConjunctiveQuery
-from repro.reliability.lifted import is_safe, lifted_probability
+from repro.logic.safety import classify_dichotomy
+from repro.reliability.lifted import lifted_probability
 
 
 def main() -> None:
@@ -68,7 +69,7 @@ def main() -> None:
     )
     print("query: some audited supplier supplies something")
     print(f"  algebra form: {expression!r}")
-    print(f"  safe (hierarchical, no self-joins): {is_safe(availability)}")
+    print(f"  safe (hierarchical, no self-joins): {classify_dichotomy(availability).safe}")
     print(f"  lifted P[holds] = {float(lifted_probability(db, availability)):.4f}")
 
     base = reliability(db, availability.to_formula())

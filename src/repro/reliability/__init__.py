@@ -72,8 +72,6 @@ from repro.reliability.influence import (
 )
 from repro.reliability.lifted import (
     UnsafeQueryError,
-    is_hierarchical,
-    is_safe,
     lifted_probability,
     lifted_reliability,
 )
@@ -99,8 +97,6 @@ __all__ = [
     "most_fragile_atoms",
     "wrong_probability_sensitivity",
     "UnsafeQueryError",
-    "is_hierarchical",
-    "is_safe",
     "lifted_probability",
     "lifted_reliability",
     "ReliabilityReport",

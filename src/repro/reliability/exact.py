@@ -115,24 +115,16 @@ def _boolean_truth_probability(
 def _try_lifted(db: UnreliableDatabase, formula: Formula):
     """Fast path: safe conjunctive queries go through the lifted engine.
 
-    Returns ``None`` when the formula is not a safe Boolean CQ, in which
+    Classifies ``formula`` once and evaluates the verdict's safe plan;
+    returns ``None`` when the formula is not a safe Boolean CQ, in which
     case the caller falls through to grounding (the #P-hard route that
     Proposition 3.2 makes unavoidable in general).
     """
-    from repro.logic.classify import is_conjunctive
+    from repro.logic.safety import classify_dichotomy
+    from repro.reliability.lifted import plan_probability
 
-    if not is_conjunctive(formula):
-        return None
-    from repro.logic.conjunctive import ConjunctiveQuery
-    from repro.reliability.lifted import UnsafeQueryError, lifted_probability
-
-    try:
-        query = ConjunctiveQuery.from_formula(formula)
-        if query.arity != 0:
-            return None
-        return lifted_probability(db, query)
-    except UnsafeQueryError:
-        return None
+    verdict = classify_dichotomy(formula)
+    return plan_probability(db, verdict) if verdict.safe else None
 
 
 def _qf_truth_probability(db: UnreliableDatabase, formula: Formula) -> Fraction:

@@ -31,12 +31,12 @@ from typing import Any, List, Optional, Tuple, Union
 
 from repro.logic.classify import classify, is_existential, is_universal
 from repro.logic.evaluator import FOQuery
+from repro.logic.safety import classify_dichotomy
 from repro.reliability.absolute import is_absolutely_reliable
 from repro.reliability.approx import reliability_additive
 from repro.reliability.exact import as_query, reliability
 from repro.reliability.grounding import relevant_atoms
 from repro.reliability.influence import most_fragile_atoms
-from repro.reliability.lifted import is_safe
 from repro.reliability.padding import padded_reliability
 from repro.reliability.unreliable import UnreliableDatabase
 from repro.util.errors import QueryError
@@ -176,7 +176,7 @@ def analyze(
         formula is not None
         and fragment == "conjunctive"
         and query.arity == 0
-        and is_safe(formula)
+        and classify_dichotomy(formula).safe
     ):
         engine = "exact/lifted (safe plan)"
         exact_value = reliability(db, query)

@@ -12,7 +12,7 @@ that landscape into an execution policy instead of a crash report:
   refuse hopeless runs up front with
   :class:`~repro.util.errors.CostRefused`;
 * :mod:`repro.runtime.executor` — :func:`run_with_fallback`, walking an
-  engine chain (exact → lifted → karp_luby → montecarlo by default)
+  engine chain (safe_lifted → exact → karp_luby → montecarlo by default)
   and returning a :class:`RuntimeResult` with value, engine, guarantee
   type, and the attempt log;
 * :mod:`repro.runtime.faults` — deterministic fault injection

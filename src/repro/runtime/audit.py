@@ -32,6 +32,7 @@ ENGINE_MODULES: Tuple[str, ...] = (
     "repro.reliability.grounding",
     "repro.reliability.approx",
     "repro.reliability.padding",
+    "repro.reliability.lifted",
     "repro.propositional.karp_luby",
     "repro.propositional.counting",
     "repro.kernels.sampling",

@@ -1,6 +1,6 @@
 """Calibrated per-engine cost models for the fallback executor.
 
-The executor's static chain (exact > lifted > karp_luby > montecarlo)
+The executor's static chain (safe_lifted > exact > karp_luby > montecarlo)
 orders engines by *guarantee strength*, and its preflights refuse
 hopeless runs from worst-case closed forms (``2 ** atoms`` worlds,
 ``n ** width * |templates|`` clauses, Hoeffding/Karp–Luby sample
@@ -63,14 +63,13 @@ from typing import (
 )
 
 from repro import obs
-from repro.logic.classify import is_conjunctive, is_existential, is_universal
+from repro.logic.classify import is_existential, is_universal
 from repro.logic.evaluator import FOQuery
 from repro.logic.fo import neg
 from repro.logic.normalform import dnf_clauses, existential_parts
 from repro.propositional.karp_luby import sample_count
 from repro.reliability.exact import as_query
 from repro.reliability.grounding import ground_existential_to_dnf, relevant_atoms
-from repro.reliability.lifted import is_safe
 from repro.reliability.montecarlo import hoeffding_samples
 from repro.runtime.budget import Budget, active_budget, apply
 from repro.runtime.preflight import grounding_cost, worlds_cost
@@ -221,7 +220,7 @@ def engine_guarantee(engine: str, quantity: str = "reliability") -> str:
     algorithm.  Unknown engines conservatively land in the weakest
     tier (the executor validates names before any ordering happens).
     """
-    if engine in ("safe_lifted", "exact", "lifted"):
+    if engine in ("safe_lifted", "exact"):
         return "exact"
     if engine == "karp_luby":
         return "relative" if quantity == "probability" else "additive"
@@ -246,12 +245,7 @@ def static_cost(engine: str, features: Mapping[str, float]) -> float:
     if engine == "exact":
         return _capped(2.0 ** min(atoms, 400.0))
     if engine == "safe_lifted":
-        # Same polynomial shape as the lifted plan, minus the
-        # attempt-and-catch overhead: the static classifier decided
-        # admissibility for free.
         return _capped(domain * domain + atoms)
-    if engine == "lifted":
-        return _capped(domain * domain + atoms + 1.0)
     if engine == "karp_luby":
         return _capped(cells * (clauses + kl))
     if engine == "montecarlo":
@@ -757,32 +751,6 @@ def _forecast_exact(db, query, budget, features) -> Tuple[str, str, int]:
     return "ok", "", 0
 
 
-def _forecast_safe_lifted(db, query, budget, features) -> Tuple[str, str, int]:
-    """Forecast for the statically-routed tier.
-
-    Only reached when the dichotomy verdict is safe (the plan loop and
-    the race partition mark unsafe queries ``skipped_static`` before
-    dispatching here), and a safe verdict *is* the admissibility proof:
-    the lifted plan terminates in polynomial time with no preflight.
-    """
-    return "ok", "", 0
-
-
-def _forecast_lifted(db, query, budget, features) -> Tuple[str, str, int]:
-    if not isinstance(query, FOQuery):
-        return "fragment_mismatch", "lifted engine requires a first-order query", 0
-    if query.arity != 0:
-        return "fragment_mismatch", "lifted engine handles Boolean queries only", 0
-    if not is_conjunctive(query.formula):
-        return "fragment_mismatch", "lifted engine requires a conjunctive query", 0
-    try:
-        if not is_safe(query.formula):
-            return "fragment_mismatch", "query has no safe plan", 0
-    except QueryError as exc:
-        return "fragment_mismatch", str(exc), 0
-    return "ok", "", 0
-
-
 def _kl_targets(db, query, quantity):
     """The Boolean existential sentences one Karp–Luby attempt grounds."""
     formula = query.formula
@@ -915,9 +883,10 @@ def _forecast_engine(
     if name == "exact":
         return _forecast_exact(db, query, budget, features)
     if name == "safe_lifted":
-        return _forecast_safe_lifted(db, query, budget, features)
-    if name == "lifted":
-        return _forecast_lifted(db, query, budget, features)
+        # Only dispatched on a safe verdict (the plan loop and the race
+        # partition skip it otherwise), and a safe verdict is the
+        # admissibility proof: the plan is polynomial, no preflight.
+        return "ok", "", 0
     if name == "karp_luby":
         return _forecast_karp_luby(
             db, query, quantity, epsilon, delta, budget, samples_used
@@ -1124,7 +1093,6 @@ def plan_chain(
     from repro.runtime.executor import (
         DEFAULT_CHAIN,
         ENGINES,
-        STATIC_SAFE_ENGINES,
         race_partition,
         static_skip_detail,
     )
@@ -1246,7 +1214,7 @@ def plan_chain(
                 EngineForecast(name, tier, "not_tried", predicted)
             )
             continue
-        if name in STATIC_SAFE_ENGINES:
+        if name == "safe_lifted":
             skip_detail = static_skip_detail(name, verdict)
             if skip_detail is not None:
                 forecasts.append(
@@ -1255,22 +1223,10 @@ def plan_chain(
                     )
                 )
                 continue
-        if name == "exact":
-            outcome, detail, spent = _forecast_exact(db, query, budget, features)
-        elif name == "safe_lifted":
-            outcome, detail, spent = _forecast_safe_lifted(
-                db, query, budget, features
-            )
-        elif name == "lifted":
-            outcome, detail, spent = _forecast_lifted(db, query, budget, features)
-        elif name == "karp_luby":
-            outcome, detail, spent = _forecast_karp_luby(
-                db, query, quantity, epsilon, delta, budget, samples_used
-            )
-        else:
-            outcome, detail, spent = _forecast_montecarlo(
-                db, query, quantity, epsilon, delta, budget, samples_used
-            )
+        outcome, detail, spent = _forecast_engine(
+            db, query, quantity, epsilon, delta, budget, features, name,
+            samples_used,
+        )
         samples_used += spent
         expected: Optional[int] = None
         worst: Optional[int] = None

@@ -15,11 +15,6 @@ The engines, in decreasing order of guarantee strength:
     the exact dispatcher (Propositions 3.1, Theorem 4.2/5.4 machinery);
     answers with an exact :class:`~fractions.Fraction`.  Preflighted by
     the Theorem 4.2 world bound ``2 ** |relevant atoms|``.
-``lifted``
-    safe-plan lifted inference — exact and polynomial, but only for
-    safe (hierarchical, self-join-free) Boolean conjunctive queries.
-    Kept for explicit chains; the default chain routes safe queries
-    through ``safe_lifted`` instead.
 ``karp_luby``
     the Theorem 5.4 FPTRAS / Corollary 5.5 estimator — *relative*
     (epsilon, delta) on probabilities, *additive* on reliability;
@@ -48,13 +43,11 @@ from fractions import Fraction
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
 
 from repro import obs
-from repro.logic.classify import is_conjunctive
-from repro.logic.conjunctive import ConjunctiveQuery
 from repro.logic.evaluator import FOQuery
 from repro.reliability.approx import existential_probability, reliability_additive
 from repro.reliability.exact import as_query, reliability, truth_probability
 from repro.reliability.grounding import relevant_atoms
-from repro.reliability.lifted import lifted_probability, lifted_reliability
+from repro.reliability.lifted import plan_probability
 from repro.reliability.montecarlo import (
     estimate_reliability_hamming,
     estimate_truth_probability,
@@ -81,7 +74,7 @@ RngLike = Union[random.Random, Seed]
 #: FPTRAS > additive MC.  ``safe_lifted`` leads so that a large safe
 #: query bypasses the exact engine's ``2 ** atoms`` preflight refusal
 #: entirely; it is statically skipped (at zero cost) on every other
-#: query.  ``lifted`` stays registered for explicit chains.
+#: query.
 DEFAULT_CHAIN: Tuple[str, ...] = (
     "safe_lifted",
     "exact",
@@ -169,6 +162,9 @@ class _Request:
     #: Sequential empirical-Bernstein stopping for the sampling engines
     #: (see :mod:`repro.runtime.adaptive`); exact engines ignore it.
     adaptive: bool = False
+    #: The run's one dichotomy verdict (``None`` when the chain never
+    #: consulted it); ``safe_lifted`` evaluates its plan.
+    verdict: Any = None
 
 
 @dataclass(frozen=True)
@@ -196,37 +192,20 @@ def _engine_exact(db, query, req: _Request) -> _Answer:
     return _Answer(float(value), "exact", None, None, fraction=value)
 
 
-def _engine_lifted(db, query, req: _Request) -> _Answer:
-    """Safe-plan lifted inference: exact and polynomial, narrow fragment."""
-    if not isinstance(query, FOQuery):
-        raise QueryError("lifted engine requires a first-order query")
-    if query.arity != 0:
-        raise QueryError("lifted engine handles Boolean queries only")
-    if not is_conjunctive(query.formula):
-        raise QueryError("lifted engine requires a conjunctive query")
-    cq = ConjunctiveQuery.from_formula(query.formula)
-    if req.quantity == "probability":
-        value = lifted_probability(db, cq)
-    else:
-        value = lifted_reliability(db, cq)
-    return _Answer(float(value), "exact", None, None, fraction=value)
-
-
 def _engine_safe_lifted(db, query, req: _Request) -> _Answer:
     """Dichotomy-routed lifted inference: statically-proved safe queries.
 
-    The executor's static router normally guarantees this engine only
-    runs on queries the classifier proved safe; the in-engine re-check
-    is defence in depth for explicit single-engine chains.
+    The router classifies the query once per run and skips this engine
+    unless the verdict is safe; the engine evaluates that verdict's
+    plan without classifying again.
     """
-    from repro.logic.safety import classify_dichotomy
-
-    verdict = classify_dichotomy(query)
-    if not verdict.safe:
-        raise QueryError(
-            f"safe_lifted requires a statically safe query — {verdict.summary()}"
-        )
-    return _engine_lifted(db, query, req)
+    verdict = req.verdict
+    if verdict is None or not verdict.safe:
+        raise QueryError("safe_lifted requires a statically safe query")
+    value = plan_probability(db, verdict)
+    if req.quantity == "reliability" and not query.evaluate(db.structure, ()):
+        value = 1 - value
+    return _Answer(float(value), "exact", None, None, fraction=value)
 
 
 def _engine_karp_luby(db, query, req: _Request) -> _Answer:
@@ -266,26 +245,23 @@ def _engine_montecarlo(db, query, req: _Request) -> _Answer:
 ENGINES: Dict[str, Callable[..., _Answer]] = {
     "safe_lifted": _engine_safe_lifted,
     "exact": _engine_exact,
-    "lifted": _engine_lifted,
     "karp_luby": _engine_karp_luby,
     "montecarlo": _engine_montecarlo,
 }
-
-#: Engines the dichotomy router gates statically: they are *skipped*
-#: (outcome ``"skipped_static"``, counter ``runtime.skipped_static``,
-#: zero elapsed, not a failure) whenever the classifier's verdict is
-#: unsafe, instead of being attempted and caught mid-chain.
-STATIC_SAFE_ENGINES: Tuple[str, ...] = ("safe_lifted", "lifted")
 
 
 def static_skip_detail(name: str, verdict) -> Optional[str]:
     """The skip reason for ``name`` under ``verdict``, or ``None`` to run.
 
-    Shared between the sequential walk, the racing dispatcher, and
+    ``safe_lifted`` is gated statically: it is *skipped* (outcome
+    ``"skipped_static"``, counter ``runtime.skipped_static``, zero
+    elapsed, not a failure) whenever the classifier's verdict is
+    unsafe, instead of being attempted and caught mid-chain.  Shared
+    between the sequential walk, the racing dispatcher, and
     :func:`repro.runtime.costmodel.plan_chain` — the forecast must mark
     ``skipped_static`` exactly where the run does.
     """
-    if name in STATIC_SAFE_ENGINES and not verdict.safe:
+    if name == "safe_lifted" and not verdict.safe:
         return verdict.summary()
     return None
 
@@ -509,8 +485,9 @@ def run_with_fallback(
     started = clock()
 
     # The dichotomy verdict is computed at most once per run, lazily:
-    # only chains containing statically-gated engines (or races, which
-    # always partition) consult it.
+    # only chains containing safe_lifted (or races, which always
+    # partition) consult it, and safe_lifted then reads it from its
+    # request instead of classifying again.
     verdict_cache = []
 
     def dichotomy():
@@ -546,7 +523,7 @@ def run_with_fallback(
                     db, query, race_chain, run_budget,
                     quantity, epsilon, delta,
                     rng_base, model, features, overlap,
-                    adaptive=adaptive,
+                    adaptive=adaptive, verdict=dichotomy(),
                 )
             except FallbackExhausted as exc:
                 raise FallbackExhausted(
@@ -559,7 +536,7 @@ def run_with_fallback(
             return result
         with obs.span("runtime.run", engines=len(chain), quantity=quantity):
             for index, name in enumerate(chain):
-                if name in STATIC_SAFE_ENGINES:
+                if name == "safe_lifted":
                     skip_detail = static_skip_detail(name, dichotomy())
                     if skip_detail is not None:
                         attempts.append(record_skip(name, skip_detail))
@@ -585,6 +562,7 @@ def run_with_fallback(
                     request = _Request(
                         quantity, epsilon, delta,
                         _attempt_rng(rng_base, name), adaptive,
+                        verdict_cache[0] if verdict_cache else None,
                     )
                     with attempt_scope:
                         with obs.span("runtime.attempt", engine=name):

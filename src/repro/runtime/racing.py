@@ -367,6 +367,7 @@ def run_race(
     features,
     overlap: float,
     adaptive: bool = False,
+    verdict=None,
 ):
     """Race ``chain`` speculatively; returns a ``RuntimeResult``.
 
@@ -374,7 +375,9 @@ def run_race(
     validation and cost-model ordering, inside the budget scope.
     ``rng_base`` seeds the per-attempt generators (the same derivation
     the sequential walk uses, so a race winner's value equals the value
-    a sequential run of that engine would have produced).
+    a sequential run of that engine would have produced).  ``verdict``
+    is the run's dichotomy verdict, handed to every racer's request so
+    ``safe_lifted`` evaluates its plan without classifying again.
     """
     import random
 
@@ -405,6 +408,7 @@ def run_race(
             quantity, epsilon, delta,
             random.Random(f"{rng_base:x}:attempt:{name}"),
             adaptive,
+            verdict,
         )
 
     def make_body(racer: _Racer, share: Optional[float], headroom: Optional[int]):

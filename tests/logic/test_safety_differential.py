@@ -1,23 +1,22 @@
 """Differential harness for the static dichotomy classifier.
 
-Three independent implementations of the Dalvi-Suciu safety test are
-run against each other over a large randomised family of self-join-free
-Boolean CQs:
+The production safety test is run against a reference over a large
+randomised family of self-join-free Boolean CQs:
 
-* :func:`repro.logic.safety.classify_dichotomy` — the production
-  router's static classifier (the one the executor trusts);
-* :func:`repro.logic.safety.hierarchy_oracle` — a brute-force check of
-  the textbook hierarchy definition over raw variable-name sets,
-  sharing no code with the classifier;
-* :func:`repro.reliability.lifted.is_hierarchical` — the lifted
-  engine's own guard.
+* :func:`repro.logic.safety.classify_dichotomy` — the one static
+  classifier (the executor routes on it and the lifted engine evaluates
+  the plan it builds);
+* :func:`repro.logic.safety.hierarchy_oracle` — the reference: a
+  brute-force check of the textbook hierarchy definition over raw
+  variable-name sets, sharing no code with the classifier.
 
 Exact (not statistical) agreement is required on every case.  For every
-*safe* verdict the harness additionally runs the lifted plan on a
-random small database and demands the answer be bit-identical — exact
-``Fraction`` equality — to an independent exact engine, so a safe
-verdict really does mean "the polynomial plan returns the exact
-answer".
+*safe* verdict the harness additionally evaluates the verdict's plan on
+a random small database, and again on an all-1/2 copy of it (the
+Amarilli-Kimelfeld uniform rules), and demands each answer be
+bit-identical — exact ``Fraction`` equality — to an independent exact
+engine, so a safe verdict really does mean "the polynomial plan returns
+the exact answer".
 
 ``SAFETY_DIFF_SEEDS`` (environment) replays an explicit seed window —
 the CI ``dichotomy-differential`` lane uses it to pin a fixed window
@@ -41,7 +40,8 @@ from repro.logic.safety import (
 )
 from repro.logic.terms import Const, Var
 from repro.reliability.exact import truth_probability
-from repro.reliability.lifted import is_hierarchical, lifted_probability
+from repro.reliability.lifted import is_uniform_half, lifted_probability
+from repro.reliability.unreliable import UnreliableDatabase
 from repro.util.rng import make_rng
 from repro.workloads.random_db import random_unreliable_database
 
@@ -103,7 +103,7 @@ def _random_db_for(cq, rng):
 
 
 class TestThreeWayAgreement:
-    """classify_dichotomy == hierarchy_oracle == lifted.is_hierarchical."""
+    """classify_dichotomy == hierarchy_oracle, the reference."""
 
     @pytest.mark.parametrize("seed", _seeds())
     def test_classifiers_agree_exactly(self, seed):
@@ -111,8 +111,7 @@ class TestThreeWayAgreement:
         cq = random_sjf_cq(rng)
         verdict = classify_dichotomy(cq)
         oracle = hierarchy_oracle(_variable_sets(cq))
-        engine = is_hierarchical(cq)
-        assert verdict.safe == oracle == engine, str(cq.to_formula())
+        assert verdict.safe == oracle, str(cq.to_formula())
         if not verdict.safe:
             # Self-join-free by construction: the only possible unsafe
             # reason inside the fragment is the hard one.
@@ -133,7 +132,11 @@ class TestThreeWayAgreement:
 
 
 class TestSafeVerdictsAreExact:
-    """A safe verdict means the lifted plan is bit-identical to exact."""
+    """A safe verdict means the lifted plan is bit-identical to exact.
+
+    Each safe draw is checked twice: on its random database (the
+    general walk) and on an all-1/2 copy of it (the uniform rules).
+    """
 
     @pytest.mark.parametrize("seed", _seeds())
     def test_safe_plan_matches_exact_engine(self, seed):
@@ -143,13 +146,20 @@ class TestSafeVerdictsAreExact:
         if not verdict.safe:
             pytest.skip("unsafe draw: no plan to check")
         db = _random_db_for(cq, make_rng(seed))
-        lifted = lifted_probability(db, cq)
-        method = (
-            "worlds" if len(db.uncertain_atoms()) <= WORLDS_LIMIT else "dnf"
+        uniform = UnreliableDatabase(
+            db.structure, {a: Fraction(1, 2) for a in db.structure.atoms()}
         )
-        exact = truth_probability(db, cq.to_formula(), method=method)
-        assert isinstance(lifted, Fraction)
-        assert lifted == exact, str(cq.to_formula())
+        assert is_uniform_half(uniform)
+        for case in (db, uniform):
+            lifted = lifted_probability(case, cq)
+            method = (
+                "worlds"
+                if len(case.uncertain_atoms()) <= WORLDS_LIMIT
+                else "dnf"
+            )
+            exact = truth_probability(case, cq.to_formula(), method=method)
+            assert isinstance(lifted, Fraction)
+            assert lifted == exact, str(cq.to_formula())
 
 
 class TestVerdictWitnesses:

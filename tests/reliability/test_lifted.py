@@ -6,17 +6,16 @@ import pytest
 
 from repro import obs
 from repro.logic.conjunctive import ConjunctiveQuery
+from repro.logic.safety import classify_dichotomy
 from repro.obs.recorder import StatsRecorder
 from repro.obs.sink import ListSink
 from repro.reliability.exact import reliability, truth_probability
 from repro.reliability.lifted import (
     UnsafeQueryError,
-    has_self_join,
-    is_hierarchical,
-    is_safe,
     is_uniform_half,
     lifted_probability,
     lifted_reliability,
+    plan_probability,
     uniform_reliability,
 )
 from repro.util.errors import QueryError
@@ -28,19 +27,27 @@ def cq(text):
     return ConjunctiveQuery.from_text(text)
 
 
+def is_safe(query):
+    return classify_dichotomy(query).safe
+
+
 class TestSafetyTests:
+    """The lifted engine's fragment is exactly the classifier's safe side."""
+
     def test_hierarchical_examples(self):
-        assert is_hierarchical(cq("exists x y. R(x) & S(x, y)"))
-        assert is_hierarchical(cq("exists x. R(x) & T(x)"))
-        assert is_hierarchical(cq("exists x y. S(x, y)"))
+        assert is_safe(cq("exists x y. R(x) & S(x, y)"))
+        assert is_safe(cq("exists x. R(x) & T(x)"))
+        assert is_safe(cq("exists x y. S(x, y)"))
 
     def test_classic_non_hierarchical(self):
         # H0 = exists x y. R(x) & S(x, y) & T(y) — the hard pattern.
-        assert not is_hierarchical(cq("exists x y. R(x) & S(x, y) & T(y)"))
+        verdict = classify_dichotomy(cq("exists x y. R(x) & S(x, y) & T(y)"))
+        assert verdict.reason == "non_hierarchical"
 
     def test_self_join_detection(self):
-        assert has_self_join(cq("exists x y. R(x) & R(y)"))
-        assert not has_self_join(cq("exists x y. R(x) & S(y)"))
+        verdict = classify_dichotomy(cq("exists x y. R(x) & R(y)"))
+        assert verdict.reason == "self_join"
+        assert is_safe(cq("exists x y. R(x) & S(y)"))
 
     def test_is_safe_combines_both(self):
         assert is_safe(cq("exists x y. R(x) & S(x, y)"))
@@ -49,7 +56,7 @@ class TestSafetyTests:
 
     def test_duplicate_atom_is_not_a_self_join(self):
         # Identical atoms are deduplicated, not a true self-join.
-        assert not has_self_join(cq("exists x. R(x) & R(x)"))
+        assert is_safe(cq("exists x. R(x) & R(x)"))
 
 
 class TestLiftedProbability:
@@ -131,6 +138,23 @@ class TestLiftedProbability:
         exact = truth_probability(db, query.to_formula(), method="dnf")
         assert value == exact
 
+    def test_walks_the_verdict_plan_once_per_node_visit(self):
+        db = random_unreliable_database(
+            make_rng(3),
+            size=4,
+            relations={"R": 1},
+            error_choices=["1/4", "1/3"],
+        )
+        verdict = classify_dichotomy(cq("exists x. R(x)"))
+        with obs.use(StatsRecorder(sink=ListSink())) as recorder:
+            value = plan_probability(db, verdict)
+            counters = recorder.summary()["counters"]
+        # One project node, then its leaf once per domain element (no
+        # nu is 0 or 1 here, so the early break never fires).
+        assert counters["lifted.projections"] == 1
+        assert counters["lifted.recursive_calls"] == 1 + 4
+        assert value == lifted_probability(db, cq("exists x. R(x)"))
+
     def test_ground_atoms_factored(self, triangle_db):
         query = ConjunctiveQuery.from_text("exists x. E('a', 'b') & S(x)")
         lifted = lifted_probability(triangle_db, query)
@@ -138,6 +162,10 @@ class TestLiftedProbability:
             triangle_db, query.to_formula(), method="worlds"
         )
         assert lifted == exact
+
+
+def _plan_size(node):
+    return 1 + sum(_plan_size(child) for child in node.children)
 
 
 def uniform_db(seed, size, relations, density=0.5):
@@ -185,6 +213,10 @@ class TestUniformFastPath:
             value = lifted_probability(db, query)
             counters = recorder.summary()["counters"]
         assert counters["lifted.uniform_fast_path"] == 1
+        # The uniform rules visit each plan node once: no factor n.
+        assert counters["lifted.recursive_calls"] == _plan_size(
+            classify_dichotomy(query).plan
+        )
         exact = truth_probability(db, query.to_formula(), method="dnf")
         assert isinstance(value, Fraction)
         assert value == exact
@@ -196,6 +228,15 @@ class TestUniformFastPath:
         assert len(db.uncertain_atoms()) == 48
         value = uniform_reliability(db, cq("exists x y. R(x) & S(x, y) & T(x)"))
         assert 0 < value < 1
+
+    def test_constant_outside_universe_is_not_a_half(self):
+        # Every atom of the space has mu = 1/2, but T('zz') names no
+        # element: it never holds, as in world enumeration.
+        db = uniform_db(0, 3, {"R": 1, "T": 1})
+        assert is_uniform_half(db) and db.default_error == 0
+        query = cq("exists x. R(x) & T('zz')")
+        assert lifted_probability(db, query) == 0
+        assert truth_probability(db, query.to_formula(), method="worlds") == 0
 
     def test_uniform_reliability_rejects_off_uniform_tables(self):
         db = random_unreliable_database(

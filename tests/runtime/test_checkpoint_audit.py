@@ -38,6 +38,11 @@ def test_engine_module_list_covers_sampling_engines():
         assert module in ENGINE_MODULES
 
 
+def test_engine_module_list_covers_the_lifted_evaluator():
+    # The safe-plan walk loops over the domain at every project node.
+    assert "repro.reliability.lifted" in ENGINE_MODULES
+
+
 def _violations_of(source: str) -> list:
     functions = _collect("synthetic", ast.parse(source))
     compliant = {

@@ -102,7 +102,7 @@ class TestGuaranteeTiers:
 
     def test_exact_engines_share_the_exact_tier(self):
         assert engine_guarantee("exact") == "exact"
-        assert engine_guarantee("lifted") == "exact"
+        assert engine_guarantee("safe_lifted") == "exact"
         assert engine_guarantee("montecarlo") == "additive"
 
 
@@ -189,6 +189,25 @@ class TestPersistence:
         with pytest.raises(CalibrationError, match="stale"):
             load_calibration(path)
 
+    def test_retired_lifted_entry_loads_and_orders_nothing(self, tmp_path):
+        # Calibrations fitted before the lifted engine folded into
+        # safe_lifted still carry a "lifted" entry; it loads, but no
+        # chain can name it, so DEFAULT_CHAIN orders as before.
+        payload = fitted_model().to_payload()
+        cheapest = [-50.0] + [0.0] * len(FEATURE_NAMES)
+        payload["engines"]["lifted"] = {
+            "weights": cheapest, "observations": 4, "rmse": 0.0,
+        }
+        path = tmp_path / "retired.json"
+        path.write_text(json.dumps(payload))
+        model = load_calibration(path)
+        assert model.calibrated("lifted")
+        features = {name: 1.0 for name in FEATURE_NAMES}
+        assert model.order_chain(DEFAULT_CHAIN, features) == DEFAULT_CHAIN
+        result = run_with_fallback(small_db(), EXISTENTIAL, cost_model=path)
+        assert result.engine == "safe_lifted"
+        assert "lifted" not in {a.engine for a in result.attempts}
+
 
 class TestCalibrationFallback:
     """Satellite: corrupt calibration degrades, counts, never crashes."""
@@ -247,7 +266,7 @@ class TestCalibrationFallback:
         assert len(db.uncertain_atoms()) > 20  # exact must be refused
         result = run_with_fallback(db, EXISTENTIAL, rng=1, cost_model=path)
         # The cold model predicts from the closed forms, which may swap
-        # engines *within* a tier (lifted's polynomial beats exact's
+        # engines *within* a tier (safe_lifted's polynomial beats exact's
         # 2^atoms) but never across tiers: every exact-tier attempt must
         # precede every approximate attempt.
         tiers = [
@@ -302,7 +321,6 @@ class TestOrderChain:
     def test_executor_uses_calibrated_order(self):
         db = small_db()
         model = fitted_model()
-        # Make lifted far cheaper than exact within the exact tier.
         features = plan_features(db, FOQuery(EXISTENTIAL))
         ordered = model.order_chain(DEFAULT_CHAIN, features, "reliability")
         result = run_with_fallback(db, EXISTENTIAL, rng=5, cost_model=model)

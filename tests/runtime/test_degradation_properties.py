@@ -54,7 +54,6 @@ def test_faulted_exact_estimate_within_stated_epsilon(seed, query):
         {
             "safe_lifted": faults.TimeoutFault(),
             "exact": faults.TimeoutFault(),
-            "lifted": faults.TimeoutFault(),
         }
     ):
         result = run_with_fallback(
@@ -68,7 +67,7 @@ def test_faulted_exact_estimate_within_stated_epsilon(seed, query):
     exact_tier = [
         a
         for a in result.attempts
-        if a.engine in ("safe_lifted", "exact", "lifted")
+        if a.engine in ("safe_lifted", "exact")
     ]
     assert all(
         a.outcome in ("budget_exceeded", "skipped_static") for a in exact_tier

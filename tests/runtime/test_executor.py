@@ -44,9 +44,7 @@ class TestChainValidation:
             "montecarlo",
         )
         assert GUARANTEE_ORDER == ("exact", "relative", "additive")
-        # "lifted" stays registered for explicit chains even though the
-        # default chain routes safe queries through "safe_lifted".
-        assert set(DEFAULT_CHAIN) | {"lifted"} == set(ENGINES)
+        assert set(DEFAULT_CHAIN) == set(ENGINES)
 
     def test_empty_chain_rejected(self, triangle_db):
         with pytest.raises(ResourceError, match="empty"):
@@ -55,6 +53,9 @@ class TestChainValidation:
     def test_unknown_engine_rejected(self, triangle_db):
         with pytest.raises(ResourceError, match="warp_drive"):
             run_with_fallback(triangle_db, EXISTENTIAL, chain=("warp_drive",))
+        # "lifted" folded into "safe_lifted" and is no longer a name.
+        with pytest.raises(ResourceError, match=r"unknown engines \['lifted'\]"):
+            run_with_fallback(triangle_db, EXISTENTIAL, chain=("lifted",))
 
     def test_unknown_quantity_rejected(self, triangle_db):
         with pytest.raises(QueryError, match="unknown quantity"):
@@ -143,17 +144,19 @@ class TestDegradation:
         assert result.attempts[-1].detail == ""
 
     def test_exhausted_when_no_engine_fits(self, triangle_db):
-        # The lifted engines handle Boolean queries only; a k-ary query
-        # on a lifted-only chain is statically skipped, leaving nothing
-        # to answer.
+        # The lifted engine handles Boolean queries only; a k-ary query
+        # on a safe_lifted-only chain is statically skipped, leaving
+        # nothing to answer.
         with pytest.raises(FallbackExhausted) as exc_info:
             run_with_fallback(
-                triangle_db, FOQuery("E(x, y)", ("x", "y")), chain=("lifted",)
+                triangle_db,
+                FOQuery("E(x, y)", ("x", "y")),
+                chain=("safe_lifted",),
             )
         error = exc_info.value
         assert len(error.attempts) == 1
         assert error.attempts[0].outcome == "skipped_static"
-        assert "lifted: skipped_static" in str(error)
+        assert "safe_lifted: skipped_static" in str(error)
 
     def test_expired_deadline_exhausts_chain(self, triangle_db):
         # A clock that jumps far past the deadline right after start:
@@ -192,11 +195,40 @@ class TestObservability:
         assert counters["runtime.fallback.events"] >= 1
 
 
+class TestOneClassificationPerRequest:
+    """A safe read classifies its query once: the router's verdict
+    reaches ``safe_lifted``, which evaluates its plan directly."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from repro.logic import safety
+        from repro.reliability import lifted
+
+        seen = []
+        original = safety.classify_dichotomy
+
+        def counting(query):
+            seen.append(query)
+            return original(query)
+
+        monkeypatch.setattr(safety, "classify_dichotomy", counting)
+        monkeypatch.setattr(lifted, "classify_dichotomy", counting)
+        return seen
+
+    @pytest.mark.parametrize("race", [False, True])
+    def test_safe_read_classifies_once(self, triangle_db, calls, race):
+        result = run_with_fallback(
+            triangle_db, EXISTENTIAL, quantity="probability", race=race
+        )
+        assert result.engine == "safe_lifted"
+        assert len(calls) == 1
+
+
 class TestStaticSkipCounters:
     """A statically-skipped engine is not a *failure* (ISSUE 9 satellite).
 
     ``run_with_fallback`` must not count a dichotomy-router skip of the
-    ``safe_lifted``/``lifted`` tier towards ``runtime.attempts``,
+    ``safe_lifted`` tier towards ``runtime.attempts``,
     ``runtime.fallbacks`` or ``runtime.fragment_mismatch``: the engine
     never ran, so breaker/fallback accounting stays exactly what it
     would be on a chain without the static tier.  The skip shows up only

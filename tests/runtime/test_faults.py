@@ -85,9 +85,9 @@ class TestExceptionFault:
 
     def test_custom_query_error(self, triangle_db, recorder):
         fault = faults.ExceptionFault(error=QueryError("nope"))
-        with faults.inject({"lifted": fault}):
+        with faults.inject({"safe_lifted": fault}):
             result = run_with_fallback(
-                triangle_db, EXISTENTIAL, chain=("lifted", "montecarlo"),
+                triangle_db, EXISTENTIAL, chain=("safe_lifted", "montecarlo"),
                 epsilon=0.2, delta=0.2, rng=1,
             )
         assert counters(recorder)["runtime.fallbacks"] == 1
@@ -99,19 +99,19 @@ class TestSlowdownFault:
     def test_stall_blows_slice_and_degrades(self, triangle_db, recorder):
         # Fair-share slicing gives exact half the 0.2s deadline; the
         # 0.12s stall blows that slice (checkpoint right after the
-        # stall), while the remaining ~0.08s is plenty for lifted.
+        # stall), while the remaining ~0.08s is plenty for safe_lifted.
         with faults.inject({"exact": faults.SlowdownFault(seconds=0.12)}):
             result = run_with_fallback(
                 triangle_db,
                 EXISTENTIAL,
-                chain=("exact", "lifted"),
+                chain=("exact", "safe_lifted"),
                 budget=Budget(deadline=0.2),
             )
         stats = counters(recorder)
         assert stats["runtime.fallbacks"] == 1
         assert stats["runtime.budget_exceeded"] == 1
         assert stats["runtime.faults_injected"] == 1
-        assert result.engine == "lifted"
+        assert result.engine == "safe_lifted"
         assert result.guarantee == "exact"
         assert result.attempts[0].outcome == "budget_exceeded"
 

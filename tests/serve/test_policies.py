@@ -80,9 +80,9 @@ class TestCircuitBreaker:
     def test_permanent_outcomes_are_not_health_signals(self):
         breaker = CircuitBreaker(threshold=1)
         breaker.record("exact", "cost_refused", 0.1)
-        breaker.record("lifted", "fragment_mismatch", 0.2)
+        breaker.record("safe_lifted", "fragment_mismatch", 0.2)
         assert breaker.state("exact") == "closed"
-        assert breaker.state("lifted") == "closed"
+        assert breaker.state("safe_lifted") == "closed"
 
     def test_half_open_probe_heals_or_reopens(self):
         breaker = CircuitBreaker(threshold=1, cooldown=1.0)

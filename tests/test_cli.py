@@ -286,17 +286,23 @@ class TestRunCommand:
         )
         assert code == 2
         assert "warp_drive" in capsys.readouterr().err
+        # "lifted" folded into "safe_lifted" and is no longer a name.
+        code = main(
+            ["run", db_file, "exists x y. E(x, y)", "--engine-chain", "lifted"]
+        )
+        assert code == 2
+        assert "unknown engines ['lifted']" in capsys.readouterr().err
 
     def test_exhausted_chain_reports_error(self, db_file, capsys):
-        # lifted alone cannot answer a k-ary query.
+        # safe_lifted alone cannot answer a k-ary query.
         code = main(
             ["run", db_file, "E(x, y)", "--free", "x", "y",
-             "--engine-chain", "lifted"]
+             "--engine-chain", "safe_lifted"]
         )
         captured = capsys.readouterr()
         assert code == 5
         assert "fallback exhausted: " in captured.err
-        assert "lifted" in captured.err
+        assert "safe_lifted: skipped_static" in captured.err
 
     def test_stats_include_runtime_counters(self, db_file, capsys):
         code = main(

@@ -22,13 +22,14 @@ from repro import (
 )
 from repro.logic.algebra import rel
 from repro.logic.conjunctive import ConjunctiveQuery
+from repro.logic.safety import classify_dichotomy
 from repro.reliability.answers import (
     answer_probabilities,
     most_questionable_answers,
     reliability_from_answers,
 )
 from repro.reliability.calibration import AuditRecord, calibrated_database
-from repro.reliability.lifted import is_safe, lifted_probability
+from repro.reliability.lifted import lifted_probability
 from repro.reliability.repair import (
     greedy_verification_plan,
     verify_and_correct,
@@ -113,7 +114,7 @@ class TestFullWorkflow:
         )
         fo = FOQuery("exists s p. Audited(s) & Supplies(s, p)")
 
-        assert is_safe(cq)
+        assert classify_dichotomy(cq).safe
         lifted = lifted_probability(db, cq)
         grounded = truth_probability(db, fo, method="dnf")
         enumerated = truth_probability(db, fo, method="worlds")

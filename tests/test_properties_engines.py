@@ -8,14 +8,11 @@ from hypothesis import given, settings, strategies as st
 from repro.logic.algebra import rel
 from repro.logic.conjunctive import ConjunctiveQuery
 from repro.logic.datalog import reachability_query
+from repro.logic.safety import classify_dichotomy
 from repro.relational.schema import Vocabulary
 from repro.relational.structure import Structure
 from repro.reliability.exact import truth_probability
-from repro.reliability.lifted import (
-    UnsafeQueryError,
-    is_safe,
-    lifted_probability,
-)
+from repro.reliability.lifted import lifted_probability
 from repro.reliability.unreliable import UnreliableDatabase
 
 NODES = (0, 1, 2, 3)
@@ -108,7 +105,7 @@ SAFE_QUERIES = [
 @settings(max_examples=40, deadline=None)
 def test_lifted_inference_matches_world_enumeration(text, db):
     query = ConjunctiveQuery.from_text(text)
-    assert is_safe(query)
+    assert classify_dichotomy(query).safe
     lifted = lifted_probability(db, query)
     oracle = truth_probability(db, query.to_formula(), method="worlds")
     assert lifted == oracle
@@ -195,7 +192,7 @@ from repro.runtime.costmodel import (  # noqa: E402
     engine_guarantee,
 )
 
-_ENGINE_NAMES = ("exact", "lifted", "karp_luby", "montecarlo")
+_ENGINE_NAMES = ("safe_lifted", "exact", "karp_luby", "montecarlo")
 _weights = st.lists(
     st.floats(allow_nan=True, allow_infinity=True, width=64),
     min_size=len(FEATURE_NAMES) + 1,
